@@ -36,6 +36,7 @@ func TestFleetWearDeterminism(t *testing.T) {
 
 	reg := telemetry.NewRegistry()
 	res1, csv1 := run(1, reg)
+	checkGolden(t, "TestFleetWearDeterminism", []byte(csv1))
 	_, csv4 := run(4, nil)
 	if csv1 != csv4 {
 		t.Fatalf("wear CSV differs between 1 and 4 workers:\n--- workers=1\n%s\n--- workers=4\n%s", csv1, csv4)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 )
 
@@ -43,6 +44,7 @@ func TestSchedulingInvariance(t *testing.T) {
 			base.Seed = seed
 			base.Faults = "read=2e-4,cut-every=3000000"
 			ref := fingerprint(t, runToEnd(t, "", base))
+			checkGolden(t, "TestSchedulingInvariance/seed"+strconv.FormatInt(seed, 10), ref)
 			for _, v := range []struct {
 				name            string
 				shards, workers int
