@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test fuzz race bench benchsnap faults torture wtrace fleetd-smoke fleetd-bigsmoke check
+.PHONY: all build vet lint test perfbench-test fuzz race bench benchsnap faults torture wtrace fleetd-smoke fleetd-bigsmoke check
 
 all: build
 
@@ -29,6 +29,15 @@ lint:
 
 test:
 	$(GO) test ./...
+
+# The benchmark harness (perfbench/, BENCHMARK.json) is a nested module,
+# so the root `go test ./...` never builds it. It drives fleet.Run and
+# fleetd campaigns through their public APIs; vet and test it here so an
+# API change that breaks the benchmark fails check, not the next
+# benchmark run.
+perfbench-test:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # Native fuzz smoke (DESIGN.md §15): the two fault-plan grammars and the
 # checkpoint cell decoder, each seeded from its committed corpus
@@ -133,4 +142,4 @@ fleetd-bigsmoke:
 		-metrics-csv fleetd-big-out/series.csv
 
 # The verification entrypoint: everything CI (or a reviewer) should run.
-check: vet lint build test fuzz race faults torture wtrace fleetd-smoke
+check: vet lint build test perfbench-test fuzz race faults torture wtrace fleetd-smoke

@@ -7,9 +7,9 @@
 // # Architecture
 //
 // The engine is a worker pool. Each worker owns a private simulation stack
-// per device — one simclock.Clock, one device.Device, one mounted file
-// system, one core.Runner — so no shared mutable state ever crosses a
-// goroutine boundary. Work is distributed by an atomic cursor (dynamic
+// per device — a Phone: one simclock.Clock, one device.Device, one mounted
+// file system, one core.Runner — so no shared mutable state ever crosses a
+// goroutine boundary. Phone is also what internal/fleetd's campaigns run. Work is distributed by an atomic cursor (dynamic
 // load balancing: a worker that drew a cheap benign phone immediately
 // picks up the next index), and results stream into a lock-free
 // per-worker Accumulator that is merged after the pool drains.

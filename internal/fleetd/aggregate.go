@@ -4,33 +4,11 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 
+	"flashwear/internal/fleet"
 	"flashwear/internal/report"
 	"flashwear/internal/wtrace"
-)
-
-// Column layout of one day row. Every column is an integer sum over
-// devices — full-scale, fixed-point for the wear gauges — so shard and
-// epoch merging is exactly associative and commutative, the same algebra
-// internal/fleet's metrics series uses (its column set, plus a read-only
-// count). Derived floats (write amplification, population means) appear
-// only at render time.
-const (
-	dDevices = iota
-	dBricked
-	dReadOnly
-	dHostBytes
-	dFlashBytes
-	dFlashErases
-	dBadBlocks
-	dWearAvgMicro // per-device average wear x1e6
-	dWearMaxMicro // per-device max wear x1e6
-	dRawBERFemto  // expected raw BER x1e15
-	dWearLevel    // JEDEC Type B level sum
-
-	dayCols
 )
 
 // wearLevels is the bucket count of the per-day wear-level sketch: JEDEC
@@ -41,9 +19,9 @@ const wearLevels = 12
 // sums per completed simulated day, plus a per-day wear-level sketch.
 // Row k is the population at the end of day k; devices that brick freeze
 // at their final sample and keep contributing it (fleet's convention, so
-// dDevices stays constant down the series).
+// fleet.ColDevices stays constant down the series).
 type DaySeries struct {
-	// Rows has dayCols entries per row.
+	// Rows has fleet.Cols entries per row.
 	Rows [][]int64 `json:"rows"`
 	// Wear[k] distributes the population over wear levels at day k.
 	Wear []report.Sketch `json:"wear"`
@@ -52,7 +30,7 @@ type DaySeries struct {
 func newDaySeries(days int) *DaySeries {
 	s := &DaySeries{Rows: make([][]int64, days), Wear: make([]report.Sketch, days)}
 	for i := range s.Rows {
-		s.Rows[i] = make([]int64, dayCols)
+		s.Rows[i] = make([]int64, fleet.Cols)
 		s.Wear[i] = report.NewSketch(wearLevels)
 	}
 	return s
@@ -105,7 +83,7 @@ func (s *DaySeries) WriteCSV(w io.Writer) error {
 	}
 	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	for k, r := range s.Rows {
-		devices := r[dDevices]
+		devices := r[fleet.ColDevices]
 		ratio := func(numer int64, scale float64) float64 {
 			if devices == 0 {
 				return 0
@@ -113,22 +91,22 @@ func (s *DaySeries) WriteCSV(w io.Writer) error {
 			return float64(numer) / scale / float64(devices)
 		}
 		wa := 0.0
-		if r[dHostBytes] > 0 {
-			wa = float64(r[dFlashBytes]) / float64(r[dHostBytes])
+		if r[fleet.ColHostBytes] > 0 {
+			wa = float64(r[fleet.ColFlashBytes]) / float64(r[fleet.ColHostBytes])
 		}
 		cols := []string{
 			strconv.Itoa(k + 1),
 			strconv.FormatInt(devices, 10),
-			strconv.FormatInt(r[dBricked], 10),
-			strconv.FormatInt(r[dReadOnly], 10),
-			f(float64(r[dHostBytes]) / (1 << 30)),
+			strconv.FormatInt(r[fleet.ColBricked], 10),
+			strconv.FormatInt(r[fleet.ColReadOnly], 10),
+			f(float64(r[fleet.ColHostBytes]) / (1 << 30)),
 			f(wa),
-			f(ratio(r[dWearAvgMicro], 1e6)),
-			f(ratio(r[dWearMaxMicro], 1e6)),
-			f(ratio(r[dRawBERFemto], 1e15)),
-			f(ratio(r[dWearLevel], 1)),
-			strconv.FormatInt(r[dBadBlocks], 10),
-			strconv.FormatInt(r[dFlashErases], 10),
+			f(ratio(r[fleet.ColWearAvgMicro], 1e6)),
+			f(ratio(r[fleet.ColWearMaxMicro], 1e6)),
+			f(ratio(r[fleet.ColRawBERFemto], 1e15)),
+			f(ratio(r[fleet.ColWearLevel], 1)),
+			strconv.FormatInt(r[fleet.ColBadBlocks], 10),
+			strconv.FormatInt(r[fleet.ColFlashErases], 10),
 		}
 		for i, c := range cols {
 			if i > 0 {
@@ -309,14 +287,4 @@ func (a *Aggregate) clone() *Aggregate {
 	c.WriteAmp = cloneHist(a.WriteAmp)
 	c.Ledger.Merge(a.Ledger)
 	return c
-}
-
-// fixedPoint converts a gauge to integer fixed point, mapping the
-// non-finite values a fully-dead chip can report to zero — the same
-// convention fleet's metric rows use.
-func fixedPoint(v float64, scale float64) int64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0
-	}
-	return int64(math.Round(v * scale))
 }

@@ -35,7 +35,9 @@
 // the output. The cost is a semantic choice, not an approximation: a
 // fleetd device reboots nightly (its RNG streams re-key per day, its fault
 // plan re-derives per day), which is why fleetd numbers are not comparable
-// digit-for-digit with fleet.Run's always-on devices.
+// digit-for-digit with fleet.Run's always-on devices. Everything else about
+// a phone — boot, remount, pacing, the day row — is fleet.Phone, shared
+// with fleet.Run.
 //
 // # Memory
 //

@@ -2,7 +2,10 @@ package fleetd
 
 import (
 	"bytes"
+	"context"
 	"testing"
+
+	"flashwear/internal/fleet"
 )
 
 // tinySpec is the shared test campaign: small population, short horizon,
@@ -48,8 +51,8 @@ func TestCampaignInMemory(t *testing.T) {
 		t.Fatalf("series has %d rows, want %d", got, want)
 	}
 	for k, r := range series.Rows {
-		if r[dDevices] != 4 {
-			t.Errorf("day %d: devices = %d, want 4", k, r[dDevices])
+		if r[fleet.ColDevices] != 4 {
+			t.Errorf("day %d: devices = %d, want 4", k, r[fleet.ColDevices])
 		}
 	}
 	agg, final := c.Aggregate()
@@ -68,5 +71,31 @@ func TestCampaignInMemory(t *testing.T) {
 	}
 	if got := buf.String(); len(got) == 0 {
 		t.Error("empty series CSV")
+	}
+}
+
+// TestFirstBootDeathMatchesBatch runs one population through both engines
+// under a plan that cuts power every 50 operations, so no phone finishes
+// first-boot setup: both must count every phone as bricked.
+func TestFirstBootDeathMatchesBatch(t *testing.T) {
+	spec := tinySpec()
+	spec.Devices = 2
+	spec.Days = 1
+	spec.Faults = "seed=1,cut-every=50"
+	agg, _ := runToEnd(t, "", spec).Aggregate()
+	fspec, err := spec.withDefaults().fleetSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := fleet.Run(context.Background(), fspec)
+	if err != nil {
+		t.Fatalf("fleet.Run: %v", err)
+	}
+	if agg.Total.Devices != 2 || agg.Total.Bricked != 2 {
+		t.Errorf("campaign: Devices=%d Bricked=%d, want 2 and 2", agg.Total.Devices, agg.Total.Bricked)
+	}
+	if res.Total.Devices != agg.Total.Devices || res.Total.Bricked != agg.Total.Bricked {
+		t.Errorf("batch Devices=%d Bricked=%d, campaign %d and %d",
+			res.Total.Devices, res.Total.Bricked, agg.Total.Devices, agg.Total.Bricked)
 	}
 }

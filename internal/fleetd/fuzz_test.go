@@ -9,6 +9,7 @@ import (
 	"os"
 	"testing"
 
+	"flashwear/internal/fleet"
 	"flashwear/internal/hostio"
 	"flashwear/internal/nand"
 	"flashwear/internal/report"
@@ -99,13 +100,13 @@ func buildSeedCell() []byte {
 		Shard: 0, Epoch: 1, DayLo: 0, DayHi: days, Live: 1,
 		Rows:       make([][]int64, days),
 		Wear:       make([]report.Sketch, days),
-		FrozenRows: make([]int64, dayCols),
+		FrozenRows: make([]int64, fleet.Cols),
 		FrozenWear: report.NewSketch(wearLevels),
 		Agg:        newAggregate(),
 		Ledger:     wtrace.Snapshot{PageSize: 16, Rows: []wtrace.Row{{Origin: "os", HostPages: 4}}},
 	}
 	for i := range ft.Rows {
-		ft.Rows[i] = make([]int64, dayCols)
+		ft.Rows[i] = make([]int64, fleet.Cols)
 		ft.Wear[i] = report.NewSketch(wearLevels)
 	}
 	e = enc{}

@@ -1,5 +1,5 @@
 // Package telemetry is the measurement substrate for the whole stack: a
-// dependency-free metrics registry (counters, gauges, histograms) with
+// dependency-free metrics registry (counters and gauges) with
 // named, labeled instruments and cheap atomic updates, plus a Sampler
 // (sampler.go) that snapshots the registry on a fixed simclock cadence
 // into an in-memory time series rendered as CSV or JSON.
@@ -30,8 +30,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"flashwear/internal/report"
 )
 
 // Kind distinguishes monotonic counts from point-in-time levels.
@@ -82,30 +80,6 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Value returns the current level.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram is a push-updated distribution over a fixed-geometry
-// report.Histogram. Snapshots expand it into derived points
-// (.count, .mean, .p50, .p99) rather than dumping every bucket.
-type Histogram struct {
-	mu sync.Mutex
-	h  *report.Histogram
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	h.h.Add(v)
-	h.mu.Unlock()
-}
-
-// Snapshot returns a copy of the underlying histogram.
-func (h *Histogram) Snapshot() *report.Histogram {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	cp := *h.h
-	cp.Counts = append([]int64(nil), h.h.Counts...)
-	return &cp
-}
-
 // instrument is one registered metric source.
 type instrument struct {
 	name      string
@@ -114,12 +88,10 @@ type instrument struct {
 	counterFn func() int64
 	gauge     *Gauge
 	gaugeFn   func() float64
-	hist      *Histogram
 }
 
 // Registry holds named instruments. Registration is not on any hot path
-// and panics on invalid or duplicate names (programming errors, like a
-// malformed histogram geometry). Updates to registered Counters/Gauges
+// and panics on invalid or duplicate names (programming errors). Updates to registered Counters/Gauges
 // are concurrency-safe; registration and Snapshot take the registry lock.
 type Registry struct {
 	mu    sync.Mutex
@@ -223,14 +195,6 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	r.register(instrument{name: name, kind: KindGauge, gaugeFn: fn})
 }
 
-// Histogram registers a push-updated distribution with the given bucket
-// geometry (see report.NewHistogram).
-func (r *Registry) Histogram(name string, min, max float64, buckets int) *Histogram {
-	h := &Histogram{h: report.NewHistogram(min, max, buckets)}
-	r.register(instrument{name: name, kind: KindGauge, hist: h})
-	return h
-}
-
 // Point is one sampled value. Counters carry Int, gauges carry Float.
 type Point struct {
 	Name  string
@@ -248,8 +212,7 @@ func (p Point) Value() float64 {
 }
 
 // Snapshot is the registry's state at one instant of simulated time.
-// Points appear in registration order; histograms expand into derived
-// points (name.count, name.mean, name.p50, name.p99).
+// Points appear in registration order.
 type Snapshot struct {
 	At     time.Duration
 	Points []Point
@@ -270,7 +233,7 @@ func (s Snapshot) Index(name string) int {
 func (r *Registry) Snapshot(at time.Duration) Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	pts := make([]Point, 0, len(r.insts)+3*countHists(r.insts))
+	pts := make([]Point, 0, len(r.insts))
 	for _, in := range r.insts {
 		switch {
 		case in.counter != nil:
@@ -281,38 +244,7 @@ func (r *Registry) Snapshot(at time.Duration) Snapshot {
 			pts = append(pts, Point{Name: in.name, Kind: KindGauge, Float: in.gauge.Value()})
 		case in.gaugeFn != nil:
 			pts = append(pts, Point{Name: in.name, Kind: KindGauge, Float: in.gaugeFn()})
-		case in.hist != nil:
-			pts = append(pts, histPoints(in.name, in.hist)...)
 		}
 	}
 	return Snapshot{At: at, Points: pts}
-}
-
-func countHists(insts []instrument) int {
-	n := 0
-	for _, in := range insts {
-		if in.hist != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// histPoints derives the summary points of one histogram. An empty
-// histogram reports zeroes (report.Histogram.Percentile already returns 0
-// on empty; the mean is guarded here because it is NaN on empty).
-func histPoints(name string, h *Histogram) []Point {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	total := h.h.Total()
-	mean := 0.0
-	if total > 0 {
-		mean = h.h.Mean()
-	}
-	return []Point{
-		{Name: name + ".count", Kind: KindCounter, Int: total},
-		{Name: name + ".mean", Kind: KindGauge, Float: mean},
-		{Name: name + ".p50", Kind: KindGauge, Float: h.h.Percentile(0.50)},
-		{Name: name + ".p99", Kind: KindGauge, Float: h.h.Percentile(0.99)},
-	}
 }
